@@ -9,7 +9,9 @@ the heuristics stay close to Exact's result quality.
 
 Each benchmark also writes the rows it produced to
 ``benchmarks/output/<name>.txt`` so the regenerated figures can be read
-after a run (pytest-benchmark reports only the timings).
+after a run (pytest-benchmark reports only the timings).  Wall-clock
+tables (``*_time``) change on every run, so they go to the untracked
+``benchmarks/output/timing/`` instead.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import experiment_environment
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+TIMING_DIR = OUTPUT_DIR / "timing"
 
 
 def bench_config() -> ExperimentConfig:
@@ -50,11 +53,16 @@ def environment(config):
 
 @pytest.fixture(scope="session")
 def write_artifact():
-    """Write a rendered figure to benchmarks/output/<name>.txt."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
+    """Write a rendered figure to benchmarks/output/<name>.txt.
+
+    Wall-clock tables (``*_time``) land in benchmarks/output/timing/,
+    which git ignores.
+    """
 
     def _write(name: str, text: str) -> Path:
-        path = OUTPUT_DIR / f"{name}.txt"
+        directory = TIMING_DIR if name.endswith("_time") else OUTPUT_DIR
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         return path
 

@@ -348,7 +348,9 @@ def bench_persistence(quick: bool) -> Dict:
         session = build_session(dataset, config)
         cold_prepare = time.perf_counter() - started
         # Warm the LSH cache so its sign-bit matrices ride in the snapshot.
-        session.signature_lsh(n_bits=config.lsh_bits, n_tables=config.lsh_tables)
+        session.current_view().signature_lsh(
+            n_bits=config.lsh_bits, n_tables=config.lsh_tables
+        )
         save_session(session, snapshot_path)
 
         started = time.perf_counter()
@@ -361,7 +363,7 @@ def bench_persistence(quick: bool) -> Dict:
         store.close()
 
         parity = bool(
-            np.array_equal(session.signatures, warm.signatures)
+            np.array_equal(session.current_view().signatures, warm.current_view().signatures)
             and [str(g.description) for g in session.groups]
             == [str(g.description) for g in warm.groups]
         )

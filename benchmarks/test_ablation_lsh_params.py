@@ -32,11 +32,10 @@ def test_ablation_lsh_parameters(benchmark, config, environment, setting):
     dataset, session = environment
     problem = build_problem(1, dataset, config)
     algorithm = build_algorithm("sm-lsh-fo", seed=config.seed, **setting)
+    view = session.current_view()
 
     def run():
-        return algorithm.solve(
-            problem, session.groups, session.functions, cache=session.matrix_cache()
-        )
+        return algorithm.solve(problem, view.groups, view.functions, cache=view.matrix_cache())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _rows.append(

@@ -40,7 +40,7 @@ def main() -> None:
     started = time.perf_counter()
     session = TagDM(dataset, signature_backend="frequency").prepare()
     cold_seconds = time.perf_counter() - started
-    session.signature_lsh(n_bits=10)  # warm the LSH cache into the snapshot
+    session.current_view().signature_lsh(n_bits=10)  # warm the LSH cache into the snapshot
     save_session(session, snapshot_path)
     problem = table1_problem(1, k=3, min_support=session.default_support())
     cold_result = session.solve(problem, algorithm="sm-lsh-fo")

@@ -24,9 +24,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.enumeration import GroupEnumerationConfig, enumerate_groups
 from repro.core.exceptions import NotFittedError
@@ -36,6 +34,9 @@ from repro.core.problem import TagDMProblem
 from repro.core.result import MiningResult
 from repro.core.signatures import GroupSignatureBuilder
 from repro.dataset.store import TaggingDataset
+
+if TYPE_CHECKING:  # pragma: no cover - the view module imports this one
+    from repro.core.incremental import SessionView
 
 __all__ = ["TagDM"]
 
@@ -96,12 +97,9 @@ class TagDM:
         self.functions = function_suite or default_function_suite()
         self.seed = seed
         self._groups: Optional[List[TaggingActionGroup]] = None
-        self._signatures: Optional[np.ndarray] = None
-        self._matrix_cache = None
-        # Cached CosineLshIndex over the session signature matrix, keyed by
-        # table count; each entry keeps the widest bit matrices built so
-        # far (narrower widths derive from them by prefix truncation).
-        self._lsh_cache: Dict[int, object] = {}
+        # The current solve view: owns every derived solve structure and
+        # is dropped whenever the groups change (invalidate_caches).
+        self._view: Optional["SessionView"] = None
 
     # ------------------------------------------------------------------
     # Preparation
@@ -114,20 +112,20 @@ class TagDM:
                 "group enumeration produced no candidate groups; lower "
                 "min_support or use partial-conjunction mode"
             )
-        signatures = self.signature_builder.build(groups)
+        self.signature_builder.build(groups)
         self._groups = groups
-        self._signatures = signatures
         self.invalidate_caches()
         return self
 
     def invalidate_caches(self) -> None:
-        """Drop derived caches (pairwise matrices, LSH indexes).
+        """Drop the current view and with it every derived solve cache.
 
-        Called after anything that perturbs the signature matrix: a fresh
-        :meth:`prepare`, incremental inserts, or a topic-model refresh.
+        Called after anything that perturbs the groups or their
+        signatures: a fresh :meth:`prepare`, incremental inserts, or a
+        topic-model refresh.  Views already handed out keep their state;
+        the next solve freezes a fresh one.
         """
-        self._matrix_cache = None
-        self._lsh_cache = {}
+        self._view = None
 
     @property
     def is_prepared(self) -> bool:
@@ -146,21 +144,6 @@ class TagDM:
         return self._groups
 
     @property
-    def signatures(self) -> np.ndarray:
-        """The ``(n_groups, d)`` signature matrix (after :meth:`prepare`).
-
-        Rebuilt lazily from the per-group signature vectors when stale
-        (incremental inserts update groups in place and null the cached
-        matrix).
-        """
-        self._require_prepared()
-        if self._signatures is None:
-            from repro.core.signatures import signature_matrix  # lazy import
-
-            self._signatures = signature_matrix(self._groups or [])
-        return self._signatures
-
-    @property
     def n_groups(self) -> int:
         """Number of candidate groups."""
         return len(self.groups)
@@ -169,61 +152,39 @@ class TagDM:
         """The paper's support threshold: ``fraction`` of the input tuples."""
         return max(1, int(round(fraction * self.dataset.n_actions)))
 
-    def matrix_cache(self):
-        """The shared pairwise-matrix cache over the candidate groups.
-
-        Built lazily on first use and reused by every subsequent
-        :meth:`solve` call, so repeated runs (the benchmark harness, the
-        experiment sweeps) pay for the pairwise matrices only once.
-        """
-        self._require_prepared()
-        if self._matrix_cache is None:
-            from repro.algorithms.scoring import PairwiseMatrixCache  # lazy import
-
-            self._matrix_cache = PairwiseMatrixCache(self.groups, self.functions)
-        return self._matrix_cache
-
-    def signature_lsh(self, n_bits: int = 10, n_tables: int = 1):
-        """A cached cosine-LSH index over the session signature matrix.
-
-        The SM-LSH family hashes the group signatures with seed
-        ``self.seed``; keeping the built index (and its sign-bit matrices)
-        on the session means repeated solves -- and warm-started server
-        processes restoring a snapshot -- skip the projection matmuls
-        entirely.  One index per table count is kept at the widest bit
-        width requested so far; narrower widths derive from it by prefix
-        truncation (:meth:`~repro.index.lsh.CosineLshIndex.rebuild_with_bits`),
-        which costs no re-projection.
-        """
-        self._require_prepared()
-        from repro.index.lsh import CosineLshIndex  # lazy import
-
-        cached = self._lsh_cache.get(n_tables)
-        if cached is None or cached.n_bits < n_bits:
-            cached = CosineLshIndex(
-                n_dimensions=self.signatures.shape[1],
-                n_bits=n_bits,
-                n_tables=n_tables,
-                seed=self.seed,
-            ).build(self.signatures)
-            self._lsh_cache[n_tables] = cached
-        if cached.n_bits == n_bits:
-            return cached
-        return cached.rebuild_with_bits(n_bits)
-
-    def _signature_lsh_provider(self, n_bits: int, n_tables: int, seed: int):
-        """Serve a cached LSH index to solvers hashing the raw signatures.
-
-        Returns ``None`` when the solver's seed differs from the session's
-        (the hyperplane draws would not match).
-        """
-        if seed != self.seed:
-            return None
-        return self.signature_lsh(n_bits=n_bits, n_tables=n_tables)
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
+    def freeze(self, epoch: int = 0) -> "SessionView":
+        """Freeze the prepared groups into a new solve view and cache it.
+
+        The view becomes the session's current view (see
+        :meth:`current_view`).  It inherits the previous current view's
+        signature matrix, pairwise-matrix cache and LSH indexes -- nothing
+        was invalidated in between, so they still describe the same
+        groups -- and builds whatever is missing lazily on first solve.
+        ``epoch`` is the publication number a serving shard stamps on
+        the view; plain sessions leave it at 0.
+        """
+        self._require_prepared()
+        from repro.core.incremental import SessionView  # lazy: avoids a cycle
+
+        self._view = SessionView(self, epoch=epoch)
+        return self._view
+
+    def current_view(self) -> "SessionView":
+        """The cached solve view, frozen on first use after each invalidation.
+
+        Every derived solve structure (signature matrix, pairwise
+        matrices, LSH indexes) lives on the view, so repeated solves --
+        the benchmark harness, the experiment sweeps -- pay for them
+        only once per invalidation.
+        """
+        view = self._view
+        if view is None:
+            view = self.freeze()
+        return view
+
     def solve(
         self,
         problem: TagDMProblem,
@@ -232,31 +193,11 @@ class TagDM:
     ) -> MiningResult:
         """Solve ``problem`` over the prepared groups.
 
-        ``algorithm`` is either an algorithm instance, an algorithm name
-        (``"exact"``, ``"sm-lsh"``, ``"sm-lsh-fi"``, ``"sm-lsh-fo"``,
-        ``"dv-fdp"``, ``"dv-fdp-fi"``, ``"dv-fdp-fo"``), or ``"auto"``
-        which picks the paper's recommended solver for the problem class:
-        SM-LSH-Fo for tag-similarity maximisation and DV-FDP-Fo for
-        tag-diversity maximisation.  Keyword options are forwarded to the
-        algorithm constructor when a name is given.
+        Runs :meth:`SessionView.solve <repro.core.incremental.SessionView.solve>`
+        on :meth:`current_view`; see there for the algorithm names and
+        the ``"auto"`` choice.
         """
-        self._require_prepared()
-        from repro.algorithms import build_algorithm  # lazy: avoids a cycle
-
-        if isinstance(algorithm, str):
-            name = algorithm.lower()
-            if name == "auto":
-                name = "dv-fdp-fo" if problem.maximises_tag_diversity else "sm-lsh-fo"
-            solver = build_algorithm(name, seed=self.seed, **algorithm_options)
-        else:
-            solver = algorithm
-        return solver.solve(
-            problem,
-            self.groups,
-            self.functions,
-            cache=self.matrix_cache(),
-            lsh_provider=self._signature_lsh_provider,
-        )
+        return self.current_view().solve(problem, algorithm=algorithm, **algorithm_options)
 
     def solve_all(
         self,

@@ -18,11 +18,13 @@ arrive, without re-running the full enumeration + summarisation pipeline:
   of signature inferences instead of a full refit (the model can be
   refitted explicitly with :meth:`refresh_topic_model` when drift
   accumulates);
-* the shared pairwise-matrix cache (and the session's cached LSH
-  indexes) are invalidated because a changed signature perturbs one
+* the session's current solve view -- which owns the pairwise-matrix
+  cache, the stacked signature matrix and the LSH indexes -- is dropped
+  once per insert call, because a changed signature perturbs one
   row/column of every matrix.
 
-The wrapper exposes the same ``solve`` API as the session it maintains.
+The wrapper exposes the same ``solve`` API as the session it maintains;
+both run on :class:`SessionView`, the single solve implementation.
 When constructed with a durable :class:`~repro.dataset.sqlite_store.SqliteTaggingStore`,
 every insert is mirrored into the store in the same call, so the
 database, the in-memory dataset and the maintained groups stay
@@ -64,26 +66,26 @@ __all__ = ["IncrementalTagDM", "IncrementalUpdateReport", "SessionView"]
 class SessionView:
     """An immutable solve-only view of a session, frozen at one epoch.
 
-    The delta+main serving split needs solves that never touch the write
-    path: a view captures the session's group list (a shallow copy is
-    enough -- incremental maintenance *replaces* list entries, it never
-    mutates a published :class:`~repro.core.groups.TaggingActionGroup`)
-    plus the solve configuration (function suite, seed, signature
-    dimensionality), and lazily materialises its own signature matrix,
-    pairwise-matrix cache and LSH indexes.  Because
-    :meth:`TagDM.invalidate_caches` swaps cache *pointers* rather than
-    mutating cache objects, a view may also inherit the live session's
-    caches at freeze time: later inserts replace the session's pointers
-    and leave the view's inherited objects intact.
+    This is the one place solves run and the only owner of derived solve
+    state.  :meth:`TagDM.freeze` captures the session's group list (a
+    shallow copy is enough -- incremental maintenance *replaces* list
+    entries, it never mutates a published
+    :class:`~repro.core.groups.TaggingActionGroup`) plus the solve
+    configuration (function suite, seed), and the view lazily
+    materialises its own signature matrix, pairwise-matrix cache and LSH
+    indexes.  A view frozen while the session's previous view is still
+    current -- nothing was invalidated in between -- inherits those
+    structures instead of rebuilding them; :meth:`TagDM.invalidate_caches`
+    only drops the session's pointer, so views already handed out keep
+    theirs.
 
     Freezing is therefore O(n_groups) pointer copying -- cheap enough to
     run after every merged writer batch -- while the expensive derived
-    structures are built at most once per view, on first solve.
+    structures are built at most once per invalidation, on first solve.
 
     Views are safe for concurrent solves: the lazy builds are serialised
     by a view-local lock, and the built structures are only ever read
-    afterwards (the pairwise cache tolerates concurrent fills exactly as
-    it did under the old shared read lock).
+    afterwards (the pairwise cache tolerates concurrent fills).
     """
 
     def __init__(self, session: TagDM, epoch: int = 0) -> None:
@@ -99,11 +101,17 @@ class SessionView:
         self.functions = session.functions
         self.seed = session.seed
         self._build_lock = named_lock("view.build")
-        # Inherit whatever derived state the session has already paid for;
-        # anything still None is built lazily against the frozen groups.
-        self._signatures = session._signatures
-        self._matrix_cache = session._matrix_cache
-        self._lsh_cache: Dict[int, object] = dict(session._lsh_cache)
+        self._signatures = None
+        self._matrix_cache = None
+        self._lsh_cache: Dict[int, object] = {}
+        # Inherit whatever derived state the session's still-current view
+        # has already paid for; anything missing is built lazily.
+        previous = session._view
+        if previous is not None:
+            with previous._build_lock:
+                self._signatures = previous._signatures
+                self._matrix_cache = previous._matrix_cache
+                self._lsh_cache.update(previous._lsh_cache)
         # With TAGDM_STATE_SANITIZER armed, the published containers are
         # wrapped in raise-on-write proxies (no-op in production).
         seal_view(self)
@@ -138,7 +146,12 @@ class SessionView:
             return self._signatures
 
     def matrix_cache(self):
-        """The view's pairwise-matrix cache (built lazily, then shared)."""
+        """The view's pairwise-matrix cache (built lazily, then shared).
+
+        Built on first use and reused by every later solve on this view
+        (and on views inheriting from it), so repeated runs pay for the
+        pairwise matrices only once per invalidation.
+        """
         with self._build_lock:
             if self._matrix_cache is None:
                 from repro.algorithms.scoring import PairwiseMatrixCache  # lazy import
@@ -147,11 +160,16 @@ class SessionView:
             return self._matrix_cache
 
     def signature_lsh(self, n_bits: int = 10, n_tables: int = 1):
-        """A cosine-LSH index over the frozen signatures (cached per view).
+        """A cached cosine-LSH index over the frozen signature matrix.
 
-        Mirrors :meth:`TagDM.signature_lsh`: one index per table count at
-        the widest bit width requested so far, narrower widths derived by
-        prefix truncation.
+        The SM-LSH family hashes the group signatures with seed
+        ``self.seed``; keeping the built index (and its sign-bit
+        matrices) on the view means repeated solves -- and warm-started
+        processes restoring a snapshot -- skip the projection matmuls.
+        One index per table count is kept at the widest bit width
+        requested so far; narrower widths derive from it by prefix
+        truncation (:meth:`~repro.index.lsh.CosineLshIndex.rebuild_with_bits`),
+        which costs no re-projection.
         """
         signatures = self.signatures
         with self._build_lock:
@@ -170,7 +188,32 @@ class SessionView:
             return cached
         return cached.rebuild_with_bits(n_bits)
 
+    def lsh_indexes(self) -> Dict[int, object]:
+        """A copy of the cached LSH indexes, keyed by table count.
+
+        Session snapshots persist their sign-bit matrices
+        (:func:`repro.core.persistence.save_session`).
+        """
+        with self._build_lock:
+            return dict(self._lsh_cache)
+
+    def restore(self, signatures, lsh_indexes: Mapping[int, object]) -> None:
+        """Adopt the signature matrix and LSH indexes a snapshot carried.
+
+        Only a warm load calls this, on the first view it freezes, so a
+        restored session's first solve skips both the stacking and the
+        projection matmuls.
+        """
+        with self._build_lock:
+            self._signatures = freeze_array(signatures)
+            self._lsh_cache.update(lsh_indexes)
+
     def _signature_lsh_provider(self, n_bits: int, n_tables: int, seed: int):
+        """Serve a cached LSH index to solvers hashing the raw signatures.
+
+        Returns ``None`` when the solver's seed differs from the view's
+        (the hyperplane draws would not match).
+        """
         if seed != self.seed:
             return None
         return self.signature_lsh(n_bits=n_bits, n_tables=n_tables)
@@ -183,10 +226,14 @@ class SessionView:
     ) -> MiningResult:
         """Solve ``problem`` over the frozen groups.
 
-        Bit-identical to :meth:`TagDM.solve` on a session in the same
-        state: the same solver construction (seeded with the session
-        seed), the same group list, function suite, pairwise cache and
-        LSH provider plumbing.
+        ``algorithm`` is either an algorithm instance, an algorithm name
+        (``"exact"``, ``"sm-lsh"``, ``"sm-lsh-fi"``, ``"sm-lsh-fo"``,
+        ``"dv-fdp"``, ``"dv-fdp-fi"``, ``"dv-fdp-fo"``), or ``"auto"``
+        which picks the paper's recommended solver for the problem class:
+        SM-LSH-Fo for tag-similarity maximisation and DV-FDP-Fo for
+        tag-diversity maximisation.  Keyword options are forwarded to the
+        algorithm constructor when a name is given; named solvers are
+        seeded with the session seed.
         """
         from repro.algorithms import build_algorithm  # lazy: avoids a cycle
 
@@ -420,20 +467,21 @@ class IncrementalTagDM:
         return self.session.default_support(fraction)
 
     def solve(self, problem: TagDMProblem, algorithm="auto", **options) -> MiningResult:
-        """Solve a problem over the maintained groups."""
+        """Solve a problem on the session's current view."""
         return self.session.solve(problem, algorithm=algorithm, **options)
 
     def freeze(self, epoch: int = 0) -> SessionView:
         """Freeze the current session state into an immutable solve view.
 
-        The caller must ensure no insert is concurrently mutating the
-        session (the serving shard freezes from its merge path, which is
-        excluded from the writer by the merge lock).  The returned
-        :class:`SessionView` stays valid forever: later inserts replace
-        group-list entries and cache pointers on the live session without
-        touching the objects the view captured.
+        Delegates to :meth:`TagDM.freeze`, so the view also becomes the
+        session's current view.  The caller must ensure no insert is
+        concurrently mutating the session (the serving shard freezes from
+        its merge path, which is excluded from the writer by the merge
+        lock).  The returned :class:`SessionView` stays valid forever:
+        later inserts replace group-list entries and drop the session's
+        view pointer without touching the objects the view captured.
         """
-        return SessionView(self.session, epoch=epoch)
+        return self.session.freeze(epoch=epoch)
 
     # ------------------------------------------------------------------
     # Description generation (mirrors repro.core.enumeration modes)
@@ -529,18 +577,6 @@ class IncrementalTagDM:
                 listener(report)
 
     @locked_by("shard.merge")
-    def _invalidate_derived_state(self) -> None:
-        """Drop every cache a changed signature poisons.
-
-        Signatures changed, so cached pairwise matrices / LSH indexes
-        (and the stacked signature matrix) are stale.  Called once per
-        public insert call -- a 1k-action batch must not rebuild the
-        caches 1k times.
-        """
-        self.session.invalidate_caches()
-        self.session._signatures = None
-
-    @locked_by("shard.merge")
     def _insert_one(
         self,
         user_id: str,
@@ -629,7 +665,7 @@ class IncrementalTagDM:
         report = self._insert_one(
             user_id, item_id, tags, rating, user_attributes, item_attributes
         )
-        self._invalidate_derived_state()
+        self.session.invalidate_caches()
         self._notify_mutation(report)
         return report
 
@@ -694,7 +730,7 @@ class IncrementalTagDM:
                 total.merge(report)
         finally:
             if total.actions_added:
-                self._invalidate_derived_state()
+                self.session.invalidate_caches()
                 self._notify_mutation(total)
         return total
 
@@ -738,7 +774,7 @@ class IncrementalTagDM:
         builder.build(replacements)
         self.session.groups[:] = replacements
         self.session.signature_builder = builder
-        self._invalidate_derived_state()
+        self.session.invalidate_caches()
 
     def snapshot(self, path) -> "IncrementalTagDM":
         """Persist the maintained session to ``path`` for a warm restart.

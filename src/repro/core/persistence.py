@@ -16,8 +16,13 @@ process warm-starts in milliseconds:
 * the signature matrix, bit-for-bit;
 * the fitted topic-model state (vocabulary / idf table / Gibbs counts,
   depending on the backend);
-* the cached LSH sign-bit matrices of :meth:`TagDM.signature_lsh`, so
+* the LSH sign-bit matrices cached on the session's current solve view
+  (:meth:`~repro.core.incremental.SessionView.signature_lsh`), so
   warm-started SM-LSH solves skip even the projection matmuls.
+
+A warm load restores the signature matrix and the LSH indexes into the
+restored session's first view, which later views inherit until an
+insert invalidates them.
 
 Snapshot format (documented in ``PERSISTENCE.md``): a single pickle file
 holding one versioned dict with the fields above plus a dataset
@@ -188,7 +193,7 @@ def save_session(session: TagDM, path: Union[str, Path]) -> Path:
     Raises ``NotFittedError`` (via the session) when :meth:`TagDM.prepare`
     has not run -- there is nothing worth snapshotting before that.
     """
-    groups = session.groups  # raises NotFittedError when unprepared
+    view = session.current_view()  # raises NotFittedError when unprepared
     lsh_payload = [
         {
             "n_tables": n_tables,
@@ -196,7 +201,7 @@ def save_session(session: TagDM, path: Union[str, Path]) -> Path:
             "seed": index.seed,
             "bit_cache": [np.asarray(bits, dtype=bool) for bits in index.bit_cache],
         }
-        for n_tables, index in sorted(session._lsh_cache.items())
+        for n_tables, index in sorted(view.lsh_indexes().items())
     ]
     snapshot = {
         "snapshot_version": SNAPSHOT_VERSION,
@@ -205,8 +210,8 @@ def save_session(session: TagDM, path: Union[str, Path]) -> Path:
         "signature_backend": session.signature_backend,
         "signature_dimensions": session.signature_builder.n_dimensions,
         "seed": session.seed,
-        "groups": _group_payload(groups),
-        "signatures": np.asarray(session.signatures, dtype=float),
+        "groups": _group_payload(view.groups),
+        "signatures": np.asarray(view.signatures, dtype=float),
         "topic_model": session.signature_builder.topic_model,
         "lsh": lsh_payload,
     }
@@ -234,9 +239,10 @@ def load_session(
     ``dataset`` must be the corpus the snapshot was prepared over --
     typically just reloaded from the SQLite store
     (:meth:`~repro.dataset.sqlite_store.SqliteTaggingStore.to_dataset`).
-    The returned session is prepared: groups, signatures, topic model and
-    LSH caches are restored without enumeration, fitting or projection,
-    so ``solve`` results are identical to the session that was saved.
+    The returned session is prepared: groups, topic model and -- on its
+    current view -- signatures and LSH indexes are restored without
+    enumeration, fitting or projection, so ``solve`` results are
+    identical to the session that was saved.
     """
     return session_from_snapshot(
         read_snapshot(path), dataset, function_suite=function_suite, source=str(path)
@@ -276,13 +282,16 @@ def session_from_snapshot(
     session.signature_backend = snapshot["signature_backend"]
     signatures = np.asarray(snapshot["signatures"], dtype=float)
     session._groups = _rebuild_groups(snapshot["groups"], dataset, signatures)
-    session._signatures = signatures
-    session._matrix_cache = None
 
     from repro.index.lsh import CosineLshIndex  # lazy: keep import cost off cold paths
 
-    for entry in snapshot["lsh"]:
-        session._lsh_cache[entry["n_tables"]] = CosineLshIndex.from_cached_bits(
-            signatures, entry["bit_cache"], seed=entry["seed"]
-        )
+    session.freeze().restore(
+        signatures,
+        {
+            entry["n_tables"]: CosineLshIndex.from_cached_bits(
+                signatures, entry["bit_cache"], seed=entry["seed"]
+            )
+            for entry in snapshot["lsh"]
+        },
+    )
     return session

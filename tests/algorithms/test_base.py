@@ -54,7 +54,7 @@ class TestSolveContract:
     def test_shared_cache_is_used_when_groups_match(self, prepared_session):
         problem = table1_problem(6, k=3, min_support=prepared_session.default_support())
         algorithm = build_algorithm("dv-fdp-fo")
-        cache = prepared_session.matrix_cache()
+        cache = prepared_session.current_view().matrix_cache()
         algorithm.solve(
             problem, prepared_session.groups, prepared_session.functions, cache=cache
         )
@@ -64,7 +64,7 @@ class TestSolveContract:
 
     def test_shared_cache_ignored_when_groups_differ(self, prepared_session):
         algorithm = build_algorithm("dv-fdp-fo")
-        cache = prepared_session.matrix_cache()
+        cache = prepared_session.current_view().matrix_cache()
         algorithm._shared_cache = cache
         subset = prepared_session.groups[:5]
         rebuilt = algorithm._matrix_cache(subset, prepared_session.functions)

@@ -19,14 +19,15 @@ class TestPreparation:
         with pytest.raises(NotFittedError):
             _ = session.groups
         with pytest.raises(NotFittedError):
-            _ = session.signatures
+            session.current_view()
         with pytest.raises(NotFittedError):
             session.solve(table1_problem(1))
 
     def test_prepare_builds_groups_and_signatures(self, prepared_session):
         assert prepared_session.is_prepared
         assert prepared_session.n_groups == len(prepared_session.groups)
-        assert prepared_session.signatures.shape == (prepared_session.n_groups, 25)
+        view = prepared_session.current_view()
+        assert view.signatures.shape == (prepared_session.n_groups, 25)
         assert all(group.has_signature() for group in prepared_session.groups)
 
     def test_prepare_fails_when_no_groups_survive(self):
@@ -51,10 +52,10 @@ class TestPreparation:
             movielens_dataset,
             enumeration=GroupEnumerationConfig(min_support=10, max_groups=30),
         ).prepare()
-        cache_a = session.matrix_cache()
-        assert session.matrix_cache() is cache_a
+        cache_a = session.current_view().matrix_cache()
+        assert session.current_view().matrix_cache() is cache_a
         session.prepare()
-        assert session.matrix_cache() is not cache_a
+        assert session.current_view().matrix_cache() is not cache_a
 
 
 class TestSolving:

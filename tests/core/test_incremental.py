@@ -104,9 +104,13 @@ class TestSingleInsert:
         assert incremental.dataset.has_item("fresh-item")
 
     def test_matrix_cache_invalidated(self, incremental):
-        cache_before = incremental.session.matrix_cache()
+        view_before = incremental.session.current_view()
+        cache_before = view_before.matrix_cache()
         incremental.add_action(**action_for(incremental.dataset))
-        assert incremental.session.matrix_cache() is not cache_before
+        view_after = incremental.session.current_view()
+        assert view_after is not view_before
+        assert view_after.matrix_cache() is not cache_before
+        assert view_before.matrix_cache() is cache_before  # handed-out view keeps its own
 
 
 class TestGroupCreation:
@@ -232,7 +236,8 @@ class TestBatchAndSolve:
             str(g.description) for g in sequential.groups
         ]
         assert np.array_equal(
-            batched.session.signatures, sequential.session.signatures
+            batched.session.current_view().signatures,
+            sequential.session.current_view().signatures,
         )
         problem = table1_problem(6, k=3, min_support=batched.default_support())
         first = batched.solve(problem, algorithm="dv-fdp-fo")
@@ -400,4 +405,6 @@ class TestStoreMirroring:
         assert warm.n_groups == session.n_groups
         import numpy as np
 
-        assert np.array_equal(warm.signatures, session.session.signatures)
+        assert np.array_equal(
+            warm.current_view().signatures, session.session.current_view().signatures
+        )

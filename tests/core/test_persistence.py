@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.api.diff import comparable_payload
 from repro.core.enumeration import GroupEnumerationConfig
 from repro.core.exceptions import NotFittedError
 from repro.core.framework import TagDM
@@ -12,11 +15,13 @@ from repro.core.persistence import (
     SNAPSHOT_VERSION,
     dataset_fingerprint,
     load_session,
+    read_snapshot,
     save_session,
 )
 from repro.core.problem import table1_problem
 from repro.dataset.sqlite_store import SqliteTaggingStore
 from repro.dataset.synthetic import generate_movielens_style
+from repro.index.lsh import CosineLshIndex
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +56,9 @@ class TestSaveLoad:
         assert [str(g.description) for g in warm.groups] == [
             str(g.description) for g in session.groups
         ]
-        assert np.array_equal(warm.signatures, session.signatures)
+        assert np.array_equal(
+            warm.current_view().signatures, session.current_view().signatures
+        )
         for cold_group, warm_group in zip(session.groups, warm.groups):
             assert cold_group.tuple_indices == warm_group.tuple_indices
             assert cold_group.tags == warm_group.tags
@@ -156,7 +163,7 @@ class TestSaveLoad:
 class TestSolveParity:
     def test_warm_solve_matches_cold_solve(self, corpus, tmp_path):
         session = make_session(corpus).prepare()
-        session.signature_lsh(n_bits=10)  # include LSH bits in the snapshot
+        session.current_view().signature_lsh(n_bits=10)  # include LSH bits in the snapshot
         path = save_session(session, tmp_path / "s.snapshot")
         warm = load_session(path, corpus)
         for problem_id, algorithm in ((1, "sm-lsh-fo"), (1, "sm-lsh-fi"), (6, "dv-fdp-fo"), (6, "dv-fdp-fi")):
@@ -191,10 +198,10 @@ class TestSolveParity:
 class TestLshCachePersistence:
     def test_bit_cache_round_trip(self, corpus, tmp_path):
         session = make_session(corpus).prepare()
-        cold_index = session.signature_lsh(n_bits=10, n_tables=2)
+        cold_index = session.current_view().signature_lsh(n_bits=10, n_tables=2)
         path = save_session(session, tmp_path / "s.snapshot")
         warm = load_session(path, corpus)
-        warm_index = warm.signature_lsh(n_bits=10, n_tables=2)
+        warm_index = warm.current_view().signature_lsh(n_bits=10, n_tables=2)
         for cold_bits, warm_bits in zip(cold_index.bit_cache, warm_index.bit_cache):
             assert np.array_equal(cold_bits, warm_bits)
         for table in range(2):
@@ -204,21 +211,75 @@ class TestLshCachePersistence:
 
     def test_narrower_widths_derive_from_restored_cache(self, corpus, tmp_path):
         session = make_session(corpus).prepare()
-        session.signature_lsh(n_bits=12)
+        session.current_view().signature_lsh(n_bits=12)
         path = save_session(session, tmp_path / "s.snapshot")
         warm = load_session(path, corpus)
-        narrow = warm.signature_lsh(n_bits=6)
+        narrow = warm.current_view().signature_lsh(n_bits=6)
         assert narrow.n_bits == 6
-        direct = session.signature_lsh(n_bits=6)
+        direct = session.current_view().signature_lsh(n_bits=6)
         assert {b.key: b.members for b in narrow.buckets()} == {
             b.key: b.members for b in direct.buckets()
         }
 
-    def test_session_lsh_cache_reuses_widest_index(self, corpus):
-        session = make_session(corpus).prepare()
-        wide = session.signature_lsh(n_bits=12)
-        again = session.signature_lsh(n_bits=12)
+    def test_view_lsh_cache_reuses_widest_index(self, corpus):
+        view = make_session(corpus).prepare().current_view()
+        wide = view.signature_lsh(n_bits=12)
+        again = view.signature_lsh(n_bits=12)
         assert again is wide
-        narrow = session.signature_lsh(n_bits=6)
+        narrow = view.signature_lsh(n_bits=6)
         assert narrow.n_bits == 6
-        assert session._lsh_cache[1] is wide  # widest stays cached
+        assert view.lsh_indexes()[1] is wide  # widest stays cached
+
+
+#: A snapshot written by the SNAPSHOT_VERSION 2 writer from the time the
+#: session itself owned the LSH cache: ``make_v2_corpus()`` prepared with
+#: ``GroupEnumerationConfig(min_support=5, max_groups=60)``,
+#: ``signature_dimensions=8``, ``seed=3``, and LSH indexes warmed at
+#: (10 bits, 1 table) and (8 bits, 2 tables) before ``save_session``.
+V2_FIXTURE = Path(__file__).parent / "fixtures" / "session-v2.snapshot"
+
+
+def make_v2_corpus():
+    return generate_movielens_style(n_users=30, n_items=60, n_actions=300, seed=5)
+
+
+class TestOldSnapshotCompatibility:
+    def test_committed_v2_snapshot_carries_lsh_bits(self):
+        snapshot = read_snapshot(V2_FIXTURE)
+        assert snapshot["snapshot_version"] == 2
+        assert sorted(entry["n_tables"] for entry in snapshot["lsh"]) == [1, 2]
+
+    def test_v2_snapshot_solves_match_cold_prepare(self, monkeypatch):
+        dataset = make_v2_corpus()
+        cold = TagDM(
+            dataset,
+            enumeration=GroupEnumerationConfig(min_support=5, max_groups=60),
+            signature_dimensions=8,
+            seed=3,
+        ).prepare()
+        warm = load_session(V2_FIXTURE, dataset)
+        assert np.array_equal(
+            warm.current_view().signatures, cold.current_view().signatures
+        )
+        assert sorted(warm.current_view().lsh_indexes()) == [1, 2]
+
+        builds = []
+        original_build = CosineLshIndex.build
+
+        def counting_build(index, vectors):
+            builds.append(index.n_bits)
+            return original_build(index, vectors)
+
+        monkeypatch.setattr(CosineLshIndex, "build", counting_build)
+        problem = table1_problem(2, k=3, min_support=cold.default_support())
+        warm_lsh = warm.solve(problem, algorithm="sm-lsh-fi")
+        assert builds == []  # served from the restored sign bits
+        cold_lsh = cold.solve(problem, algorithm="sm-lsh-fi")
+        assert comparable_payload(warm_lsh.to_dict()) == comparable_payload(
+            cold_lsh.to_dict()
+        )
+        for problem_id, algorithm in ((1, "sm-lsh-fo"), (6, "dv-fdp-fo"), (6, "dv-fdp-fi")):
+            problem = table1_problem(problem_id, k=3, min_support=cold.default_support())
+            assert comparable_payload(
+                warm.solve(problem, algorithm=algorithm).to_dict()
+            ) == comparable_payload(cold.solve(problem, algorithm=algorithm).to_dict()), algorithm

@@ -220,7 +220,9 @@ class TestSessionParity:
         assert [str(g.description) for g in original.groups] == [
             str(g.description) for g in reloaded.groups
         ]
-        assert np.array_equal(original.signatures, reloaded.signatures)
+        assert np.array_equal(
+            original.current_view().signatures, reloaded.current_view().signatures
+        )
         problem = table1_problem(6, k=3, min_support=original.default_support())
         for algorithm in ("sm-lsh-fo", "dv-fdp-fo", "dv-fdp-fi"):
             first = original.solve(problem, algorithm=algorithm)

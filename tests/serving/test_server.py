@@ -6,10 +6,13 @@ import threading
 
 import pytest
 
+from repro.api.diff import comparable_payload
 from repro.core.enumeration import GroupEnumerationConfig
 from repro.core.incremental import IncrementalTagDM
+from repro.core.persistence import read_snapshot
 from repro.core.problem import table1_problem
 from repro.dataset.synthetic import generate_movielens_style
+from repro.index.lsh import CosineLshIndex
 from repro.serving import SnapshotRotationPolicy, TagDMServer
 
 ENUMERATION = GroupEnumerationConfig(min_support=5)
@@ -262,6 +265,38 @@ class TestWarmRestart:
         assert after.objective_value == before.objective_value
         assert after.descriptions() == before.descriptions()
         resumed.close()
+
+    def test_closed_shard_persists_view_lsh_bits_for_warm_reopen(self, tmp_path, monkeypatch):
+        """Solves build LSH indexes on the shard's published view, which is
+        the session's current view, so the final snapshot carries their
+        sign bits and the reopened shard re-serves the solve without
+        projecting anything."""
+        dataset = make_dataset()
+        server = make_server(tmp_path)
+        shard = server.add_corpus("movies", dataset)
+        for action in actions_for(dataset, "l", 15):
+            server.insert("movies", **action)
+        shard.flush()
+        problem = table1_problem(2, k=3, min_support=shard.session.default_support())
+        before = server.solve("movies", problem, algorithm="sm-lsh-fi")
+        server.close()  # takes the final snapshot
+        newest = sorted((tmp_path / "movies" / "snapshots").iterdir())[-1]
+        assert len(read_snapshot(newest)["lsh"]) >= 1
+
+        builds = []
+        original_build = CosineLshIndex.build
+
+        def counting_build(index, vectors):
+            builds.append(index.n_bits)
+            return original_build(index, vectors)
+
+        monkeypatch.setattr(CosineLshIndex, "build", counting_build)
+        resumed = make_server(tmp_path)
+        resumed.open_corpus("movies")
+        after = resumed.solve("movies", problem, algorithm="sm-lsh-fi")
+        resumed.close()
+        assert builds == []
+        assert comparable_payload(after.to_dict()) == comparable_payload(before.to_dict())
 
     def test_open_corpus_falls_back_to_cold_on_unusable_snapshots(self, tmp_path):
         dataset = make_dataset()

@@ -984,14 +984,3 @@ class TestSuite:
         )
         assert proc.returncode == 0
         assert "locks" in proc.stdout and "LD101" in proc.stdout
-
-    def test_doc_links_shim_still_works_and_warns(self):
-        proc = subprocess.run(
-            [sys.executable, "tools/check_doc_links.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "DeprecationWarning" in proc.stderr
-        assert "tools.analyze --check doclinks" in proc.stderr

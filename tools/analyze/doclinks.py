@@ -1,5 +1,5 @@
-"""Documentation link integrity (DL5xx) -- the former
-``tools/check_doc_links.py``, folded into the analysis suite.
+"""Documentation link integrity (DL5xx): run it alone with
+``python -m tools.analyze --check doclinks``.
 
 * **DL501** -- a relative link target in a top-level markdown file does
   not exist on disk.
