@@ -58,9 +58,11 @@ class MiningAlgorithm(ABC):
         over the same group list (the :class:`~repro.core.framework.TagDM`
         session shares one across solve calls so repeated runs do not pay
         for the matrices again).  ``lsh_provider`` optionally supplies
-        pre-built LSH indexes over the raw signature matrix -- a callable
-        ``(n_bits, n_tables, seed) -> CosineLshIndex | None`` that the
-        SM-LSH family consults before projecting vectors itself.
+        pre-built LSH indexes over the signature matrix -- a callable
+        ``(n_bits, n_tables, seed, folded) -> CosineLshIndex | None``
+        that the SM-LSH family consults before stacking and projecting
+        vectors itself; ``folded`` names the dimensions SM-LSH-Fo folds
+        into the vectors (empty for the raw signatures).
         """
         if not groups:
             raise ValueError("cannot solve a TagDM problem over zero candidate groups")

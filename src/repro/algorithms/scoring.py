@@ -6,12 +6,14 @@ objective dual-mining functions), the per-constraint scores, and overall
 feasibility (constraints + group support + group-count bounds).
 :class:`ProblemEvaluator` centralises those judgements, and
 :class:`PairwiseMatrixCache` precomputes the pairwise comparison matrices
-the Exact baseline and the FDP algorithms iterate over.
+the Exact baseline and the FDP algorithms iterate over, plus the packed
+group-membership words that turn group support into an OR-popcount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.core.functions import FunctionSuite
 from repro.core.groups import TaggingActionGroup, group_support
 from repro.core.measures import Criterion, Dimension
 from repro.core.problem import TagDMProblem
+from repro.core.witness import named_lock
 
 __all__ = [
     "GroupSetEvaluation",
@@ -27,7 +30,45 @@ __all__ = [
     "PairwiseMatrixCache",
     "BatchCandidateScorer",
     "batch_subset_means",
+    "membership_words",
 ]
+
+#: Set bits of every byte value: the popcount of numpy < 2, which has no
+#: ``np.bitwise_count``.
+_BYTE_BITS = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
+
+
+def _lut_bit_count(words: np.ndarray) -> np.ndarray:
+    """Set bits of every ``uint64`` word, through the byte lookup table."""
+    octets = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)
+    return _BYTE_BITS[octets].reshape(*np.shape(words), 8).sum(axis=-1, dtype=np.uint8)
+
+
+_bit_count = np.bitwise_count if hasattr(np, "bitwise_count") else _lut_bit_count
+
+
+def membership_words(groups: Sequence[TaggingActionGroup]) -> np.ndarray:
+    """Pack the groups' tuple sets into an ``(n_groups, n_words)`` bitset.
+
+    Bit ``t & 63`` of word ``t >> 6`` in row ``g`` is set when tuple ``t``
+    belongs to group ``g`` -- the groups x tuples 0/1 array of D4M-style
+    associative arrays, 64 tuples per ``uint64`` word.  The union of a
+    set of groups is then the OR of their rows, and its size (the group
+    support of Definition 1) a popcount.  Built straight from the tuple
+    indices, with no dense ``n_groups x n_tuples`` intermediate.
+    """
+    lengths = [len(group.tuple_indices) for group in groups]
+    tuples = np.fromiter(
+        chain.from_iterable(group.tuple_indices for group in groups),
+        dtype=np.int64,
+        count=sum(lengths),
+    )
+    n_words = int(tuples.max()) // 64 + 1 if tuples.size else 1
+    words = np.zeros((len(groups), n_words), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(groups)), lengths)
+    bits = np.left_shift(np.uint64(1), (tuples & 63).astype(np.uint64))
+    np.bitwise_or.at(words, (rows, tuples >> 6), bits)
+    return words
 
 
 def batch_subset_means(matrix: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -120,7 +161,12 @@ class PairwiseMatrixCache:
     ``(n, n)`` matrix of pairwise scores for a (dimension, criterion)
     pair.  Subset scores under mean aggregation then reduce to averaging
     matrix entries, which is what makes the Exact baseline and the FDP
-    greedy loops tractable.
+    greedy loops tractable.  Group support is counted on the packed
+    membership words (:func:`membership_words`), built once per cache.
+
+    Solvers on one view share its cache from several threads: matrix
+    fills are idempotent, and the membership words are built under the
+    cache's own lock.
     """
 
     def __init__(
@@ -129,8 +175,8 @@ class PairwiseMatrixCache:
         self.groups = list(groups)
         self.functions = functions
         self._matrices: Dict[Tuple[Dimension, Criterion], np.ndarray] = {}
-        self._sizes = np.array([group.support for group in self.groups], dtype=np.int64)
-        self._disjoint: Optional[bool] = None
+        self._build_lock = named_lock("cache.build")
+        self._membership: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -208,25 +254,26 @@ class PairwiseMatrixCache:
         return float((submatrix.sum() - np.trace(submatrix)) / (size * (size - 1)))
 
     # ------------------------------------------------------------------
-    @property
-    def groups_are_disjoint(self) -> bool:
-        """Whether the candidate groups have pairwise disjoint tuple sets.
-
-        Full-conjunction enumeration yields disjoint groups, in which
-        case subset support is simply the sum of group sizes.
-        """
-        if self._disjoint is None:
-            union_size = len(
-                set().union(*(group.tuple_indices for group in self.groups))
-            ) if self.groups else 0
-            self._disjoint = union_size == int(self._sizes.sum())
-        return self._disjoint
+    def membership(self) -> np.ndarray:
+        """The packed ``(n_groups, n_words)`` membership words (built once)."""
+        with self._build_lock:
+            if self._membership is None:
+                self._membership = membership_words(self.groups)
+            return self._membership
 
     def subset_support(self, indices: Sequence[int]) -> int:
         """Group support (Definition 1) of the subset."""
-        if self.groups_are_disjoint:
-            return int(self._sizes[list(indices)].sum())
-        return group_support([self.groups[i] for i in indices])
+        rows = self.membership()[np.asarray(indices, dtype=np.intp)]
+        return int(_bit_count(np.bitwise_or.reduce(rows, axis=0)).sum())
+
+    def batch_subset_support(self, subsets: np.ndarray) -> np.ndarray:
+        """Group support of many equal-size subsets in one gather.
+
+        ``subsets`` is an ``(m, s)`` integer array of group indices;
+        returns the ``m`` supports ``subset_support`` would produce.
+        """
+        rows = self.membership()[np.asarray(subsets, dtype=np.intp)]
+        return _bit_count(np.bitwise_or.reduce(rows, axis=1)).sum(axis=-1, dtype=np.int64)
 
     def batch_subset_means(
         self,
@@ -329,6 +376,7 @@ class BatchCandidateScorer:
         for size, positions in by_size.items():
             count = len(positions)
             size_ok = problem.k_lo <= size <= problem.k_hi
+            subsets = np.asarray([candidates[p] for p in positions], dtype=np.intp)
             if size < 2:
                 objective_values = np.full(
                     count,
@@ -345,7 +393,6 @@ class BatchCandidateScorer:
                     ),
                 )
             else:
-                subsets = np.asarray([candidates[p] for p in positions], dtype=np.intp)
                 objective_values = np.zeros(count)
                 for objective in problem.objectives:
                     objective_values += objective.weight * self.cache.batch_subset_means(
@@ -360,13 +407,8 @@ class BatchCandidateScorer:
 
             if require_constraints:
                 if problem.min_support > 0:
-                    support_ok = np.fromiter(
-                        (
-                            self.cache.subset_support(candidates[p]) >= problem.min_support
-                            for p in positions
-                        ),
-                        dtype=bool,
-                        count=count,
+                    support_ok = (
+                        self.cache.batch_subset_support(subsets) >= problem.min_support
                     )
                 else:
                     support_ok = np.ones(count, dtype=bool)
@@ -374,6 +416,8 @@ class BatchCandidateScorer:
             else:
                 feasible = np.full(count, size_ok)
 
-            for offset, position in enumerate(positions):
-                results[position] = (bool(feasible[offset]), float(objective_values[offset]))
+            for position, verdict in zip(
+                positions, zip(feasible.tolist(), objective_values.tolist())
+            ):
+                results[position] = verdict
         return results  # type: ignore[return-value]

@@ -32,7 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import MiningAlgorithm, register_algorithm
-from repro.algorithms.scoring import BatchCandidateScorer, ProblemEvaluator
+from repro.algorithms.scoring import (
+    BatchCandidateScorer,
+    PairwiseMatrixCache,
+    ProblemEvaluator,
+)
+from repro.core.functions import FunctionSuite
 from repro.core.groups import TaggingActionGroup  # noqa: F401 (used in annotations)
 from repro.core.measures import Criterion, Dimension
 from repro.core.problem import TagDMProblem
@@ -40,7 +45,12 @@ from repro.core.result import MiningResult
 from repro.core.signatures import signature_matrix
 from repro.index.lsh import CosineLshIndex
 
-__all__ = ["SmLshAlgorithm", "SmLshFilterAlgorithm", "SmLshFoldAlgorithm"]
+__all__ = [
+    "SmLshAlgorithm",
+    "SmLshFilterAlgorithm",
+    "SmLshFoldAlgorithm",
+    "folded_vectors",
+]
 
 
 def _one_hot_descriptions(
@@ -73,6 +83,72 @@ def _one_hot_descriptions(
     return matrix
 
 
+def folded_vectors(
+    groups: Sequence[TaggingActionGroup],
+    dimensions: Sequence[Dimension],
+    signatures: np.ndarray,
+) -> np.ndarray:
+    """The vectors SM-LSH hashes: the group signatures, with the one-hot
+    descriptions over the folded ``dimensions`` prepended (Section 4.3).
+
+    With nothing folded this is ``signatures`` itself.
+    """
+    if not dimensions:
+        return signatures
+    return np.hstack([_one_hot_descriptions(groups, dimensions), signatures])
+
+
+class _PairFeasibility:
+    """Which pairs of groups satisfy every hard constraint as a pair.
+
+    Constraints on dimensions with a vectorised matrix builder are read
+    off the cache's pairwise matrices once per solve, as one boolean
+    ``matrix >= threshold`` matrix ANDed over those constraints.  Only a
+    dimension without a builder falls back to memoised
+    :meth:`FunctionSuite.pairwise` calls.
+    """
+
+    def __init__(
+        self,
+        problem: TagDMProblem,
+        groups: Sequence[TaggingActionGroup],
+        functions: FunctionSuite,
+        cache: PairwiseMatrixCache,
+    ) -> None:
+        self._groups = groups
+        self._functions = functions
+        self._feasible = np.ones((len(groups), len(groups)), dtype=bool)
+        self._pairwise_constraints = []
+        for constraint in problem.constraints:
+            if functions.matrix_builder_for(constraint.dimension) is None:
+                self._pairwise_constraints.append(constraint)
+            else:
+                matrix = cache.matrix(constraint.dimension, constraint.criterion)
+                self._feasible &= matrix >= constraint.threshold
+        self._pairs: Dict[Tuple[int, int], bool] = {}
+
+    def among(self, members: Sequence[int]) -> List[List[bool]]:
+        """The matrix-backed feasibility among ``members``, by position."""
+        index = np.asarray(members, dtype=np.intp)
+        return self._feasible[np.ix_(index, index)].tolist()
+
+    def pairwise_ok(self, a: int, b: int) -> bool:
+        """Whether groups ``a`` and ``b`` meet the builder-less constraints."""
+        if not self._pairwise_constraints:
+            return True
+        key = (a, b) if a < b else (b, a)
+        ok = self._pairs.get(key)
+        if ok is None:
+            ok = self._pairs[key] = all(
+                self._functions.pairwise(
+                    self._groups[a], self._groups[b], constraint.dimension, constraint.criterion
+                )
+                >= constraint.threshold
+                for constraint in self._pairwise_constraints
+            )
+        return ok
+
+
 class _BaseSmLsh(MiningAlgorithm):
     """Shared implementation of the SM-LSH family."""
 
@@ -102,37 +178,35 @@ class _BaseSmLsh(MiningAlgorithm):
         self.max_subsets_per_bucket = max_subsets_per_bucket
 
     # ------------------------------------------------------------------
-    def _vectors(
-        self, problem: TagDMProblem, groups: Sequence[TaggingActionGroup]
-    ) -> Tuple[np.ndarray, bool]:
-        """The vectors to hash and whether they are the raw signatures.
+    def _folded_dimensions(self, problem: TagDMProblem) -> Tuple[Dimension, ...]:
+        """The user/item dimensions SM-LSH-Fo folds into the hashed vectors.
 
-        Returns ``(vectors, pure)`` where ``pure`` is True when nothing
-        was folded in -- exactly the case a session-cached LSH index over
-        the signature matrix can serve.
+        Those with a similarity constraint, in (users, items) order; empty
+        for the other variants.
         """
-        signatures = signature_matrix(groups)
         if self.constraint_mode != "fold":
-            return signatures, True
-        folded_dimensions = [
+            return ()
+        folded = {
             constraint.dimension
             for constraint in problem.constraints
             if constraint.criterion is Criterion.SIMILARITY
-            and constraint.dimension in (Dimension.USERS, Dimension.ITEMS)
-        ]
-        if not folded_dimensions:
-            return signatures, True
-        one_hot = _one_hot_descriptions(groups, folded_dimensions)
-        return np.hstack([one_hot, signatures]), False
+        }
+        return tuple(
+            dimension for dimension in (Dimension.USERS, Dimension.ITEMS) if dimension in folded
+        )
 
     def _provided_index(
-        self, bits: int, n_groups: int
+        self, folded: Tuple[Dimension, ...], bits: int, n_groups: int
     ) -> Optional[CosineLshIndex]:
-        """Ask the session's LSH cache for an index (None when unusable)."""
+        """Ask the session's LSH cache for an index (None when unusable).
+
+        The index is ``bits`` wide over the vectors that
+        :func:`folded_vectors` gives for ``folded``.
+        """
         provider = getattr(self, "_lsh_provider", None)
         if provider is None:
             return None
-        index = provider(bits, self.n_tables, self.seed)
+        index = provider(bits, self.n_tables, self.seed, folded)
         if index is None or index.n_indexed != n_groups:
             return None
         return index
@@ -142,9 +216,7 @@ class _BaseSmLsh(MiningAlgorithm):
         members: List[int],
         vectors: np.ndarray,
         problem: TagDMProblem,
-        groups: Sequence[TaggingActionGroup],
-        evaluator: ProblemEvaluator,
-        pair_cache: Dict[Tuple[int, int], bool],
+        pairs: Optional[_PairFeasibility],
     ) -> List[List[int]]:
         """Turn one bucket into candidate result sets of admissible size.
 
@@ -185,11 +257,9 @@ class _BaseSmLsh(MiningAlgorithm):
             for subset in islice(combinations(pool, k_hi), self.max_subsets_per_bucket)
         ]
 
-        if self.constraint_mode != "none":
+        if pairs is not None:
             candidates.extend(
-                self._greedy_feasible_candidates(
-                    ordered_members, problem, groups, evaluator, pair_cache
-                )
+                self._greedy_feasible_candidates(ordered_members, problem, pairs)
             )
         return candidates
 
@@ -197,9 +267,7 @@ class _BaseSmLsh(MiningAlgorithm):
         self,
         ordered_members: List[int],
         problem: TagDMProblem,
-        groups: Sequence[TaggingActionGroup],
-        evaluator: ProblemEvaluator,
-        pair_cache: Dict[Tuple[int, int], bool],
+        pairs: _PairFeasibility,
         max_seeds: int = 16,
     ) -> List[List[int]]:
         """Grow pairwise-constraint-feasible sets inside one bucket.
@@ -211,38 +279,28 @@ class _BaseSmLsh(MiningAlgorithm):
         lets the filtering/folding LSH variants find feasible sets inside
         large, heterogeneous buckets.
         """
-        constraints = problem.constraints
-        if not constraints:
-            return []
-
-        def pair_ok(a: int, b: int) -> bool:
-            key = (a, b) if a < b else (b, a)
-            cached = pair_cache.get(key)
-            if cached is not None:
-                return cached
-            ok = all(
-                evaluator.functions.pairwise(
-                    groups[a], groups[b], constraint.dimension, constraint.criterion
-                )
-                >= constraint.threshold
-                for constraint in constraints
-            )
-            pair_cache[key] = ok
-            return ok
-
         k_lo, k_hi = problem.k_lo, problem.k_hi
+        feasible = pairs.among(ordered_members)
         candidates: List[List[int]] = []
-        for seed in ordered_members[:max_seeds]:
+        for seed in range(min(max_seeds, len(ordered_members))):
+            # Positions into ordered_members; ``allowed`` is the AND of
+            # the selected members' feasibility rows.
             selected = [seed]
-            for member in ordered_members:
-                if member in selected:
+            allowed = feasible[seed]
+            for position, member in enumerate(ordered_members):
+                if not allowed[position] or position in selected:
                     continue
-                if all(pair_ok(member, chosen) for chosen in selected):
-                    selected.append(member)
-                    if len(selected) == k_hi:
-                        break
-            if len(selected) >= k_lo and selected not in candidates:
-                candidates.append(selected)
+                if not all(
+                    pairs.pairwise_ok(ordered_members[chosen], member) for chosen in selected
+                ):
+                    continue
+                selected.append(position)
+                if len(selected) == k_hi:
+                    break
+                allowed = [a and b for a, b in zip(allowed, feasible[position])]
+            chosen_members = [ordered_members[position] for position in selected]
+            if len(chosen_members) >= k_lo and chosen_members not in candidates:
+                candidates.append(chosen_members)
         return candidates
 
     def _bucket_feasible(
@@ -289,7 +347,14 @@ class _BaseSmLsh(MiningAlgorithm):
         groups: Sequence[TaggingActionGroup],
         evaluator: ProblemEvaluator,
     ) -> MiningResult:
-        vectors, pure_signatures = self._vectors(problem, groups)
+        folded = self._folded_dimensions(problem)
+        # Session-cached vectors and sign-bit matrices (warm-started
+        # snapshots restore the unfolded ones without any projection).
+        index = self._provided_index(folded, self.n_bits, len(groups))
+        if index is not None:
+            vectors = index.vectors
+        else:
+            vectors = folded_vectors(groups, folded, signature_matrix(groups))
         n_dimensions = vectors.shape[1]
         evaluations = 0
         relaxations = 0
@@ -298,36 +363,33 @@ class _BaseSmLsh(MiningAlgorithm):
         best_candidate: Optional[List[int]] = None
         best_objective = float("-inf")
         bits_used = bits
-        pair_cache: Dict[Tuple[int, int], bool] = {}
 
+        cache = self._matrix_cache(groups, evaluator.functions)
         scorer: Optional[BatchCandidateScorer] = None
         if BatchCandidateScorer.supports(problem, evaluator.functions):
-            scorer = BatchCandidateScorer(
-                self._matrix_cache(groups, evaluator.functions), problem
-            )
+            scorer = BatchCandidateScorer(cache, problem)
+        pairs: Optional[_PairFeasibility] = None
+        if self.constraint_mode != "none" and problem.constraints:
+            pairs = _PairFeasibility(problem, groups, evaluator.functions, cache)
 
-        index: Optional[CosineLshIndex] = None
         while relaxations < self.max_relaxations:
             if index is None:
-                if pure_signatures:
-                    # Session-cached sign-bit matrices (warm-started
-                    # snapshots restore these without any projection).
-                    index = self._provided_index(bits, len(groups))
-                if index is None:
-                    index = CosineLshIndex(
-                        n_dimensions=n_dimensions,
-                        n_bits=bits,
-                        n_tables=self.n_tables,
-                        seed=self.seed,
-                    ).build(vectors)
+                index = CosineLshIndex(
+                    n_dimensions=n_dimensions,
+                    n_bits=bits,
+                    n_tables=self.n_tables,
+                    seed=self.seed,
+                ).build(vectors)
             elif index.n_bits != bits:
                 # Relaxation re-hash: prefix truncation of the cached
-                # sign bits, no re-projection (see CosineLshIndex).
-                index = index.rebuild_with_bits(bits)
+                # sign bits, no re-projection (see CosineLshIndex); the
+                # session's cache keeps every width it truncated to.
+                narrowed = self._provided_index(folded, bits, len(groups))
+                index = narrowed if narrowed is not None else index.rebuild_with_bits(bits)
 
             for bucket in index.buckets():
                 candidates = self._candidate_sets_from_bucket(
-                    list(bucket.members), vectors, problem, groups, evaluator, pair_cache
+                    list(bucket.members), vectors, problem, pairs
                 )
                 if not candidates:
                     continue
@@ -354,7 +416,7 @@ class _BaseSmLsh(MiningAlgorithm):
             # Terminal relaxation: with zero hash bits every group falls in
             # one bucket, so post-process the whole candidate set once.
             candidates = self._candidate_sets_from_bucket(
-                list(range(len(groups))), vectors, problem, groups, evaluator, pair_cache
+                list(range(len(groups))), vectors, problem, pairs
             )
             evaluations += len(candidates)
             for candidate, (feasible, objective) in zip(

@@ -51,14 +51,6 @@ from repro.core.problem import (
     table1_problem,
 )
 from repro.core.result import MiningResult
-from repro.core.complexity import (
-    CbsInstance,
-    TagDMReduction,
-    decide_reduced_tagdm,
-    has_complete_bipartite_subgraph,
-    random_bipartite_instance,
-    reduce_cbs_to_tagdm,
-)
 from repro.core.framework import TagDM
 from repro.core.incremental import IncrementalTagDM, IncrementalUpdateReport
 from repro.core.persistence import load_session, save_session
@@ -109,3 +101,24 @@ __all__ = [
     "save_session",
     "load_session",
 ]
+
+#: The NP-completeness reduction of Section 3 needs networkx; it loads on
+#: first use (PEP 562) so importing the solve and serving stack does not.
+_COMPLEXITY_NAMES = frozenset(
+    {
+        "CbsInstance",
+        "TagDMReduction",
+        "decide_reduced_tagdm",
+        "has_complete_bipartite_subgraph",
+        "random_bipartite_instance",
+        "reduce_cbs_to_tagdm",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _COMPLEXITY_NAMES:
+        from repro.core import complexity
+
+        return getattr(complexity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

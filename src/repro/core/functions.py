@@ -94,11 +94,13 @@ def structural_similarity(
     The paper's ``Fp(g1, g2, users, similarity) = sum_{a in A}
     sim(v1, v2)`` over the shared attributes ``A``; we divide by ``|A|``
     so the score stays in ``[0, 1]``.  Groups sharing no attribute on the
-    dimension score 0.
+    dimension score 0.  The sum runs in sorted attribute order, the order
+    :func:`structural_pairwise_matrix` accumulates in, so both give
+    bit-identical scores.
     """
     part_a = _description_part(group_a, dimension)
     part_b = _description_part(group_b, dimension)
-    shared = set(part_a) & set(part_b)
+    shared = sorted(part_a.keys() & part_b.keys())
     if not shared:
         return 0.0
     total = sum(value_sim(part_a[attribute], part_b[attribute]) for attribute in shared)

@@ -62,6 +62,7 @@ __all__ = ["IncrementalTagDM", "IncrementalUpdateReport", "SessionView"]
     _signatures="lock:view.build",
     _matrix_cache="lock:view.build",
     _lsh_cache="lock:view.build",
+    _narrowed_lsh="lock:view.build",
 )
 class SessionView:
     """An immutable solve-only view of a session, frozen at one epoch.
@@ -103,7 +104,8 @@ class SessionView:
         self._build_lock = named_lock("view.build")
         self._signatures = None
         self._matrix_cache = None
-        self._lsh_cache: Dict[int, object] = {}
+        self._lsh_cache: Dict[Tuple[Tuple, int], object] = {}
+        self._narrowed_lsh: Dict[Tuple[Tuple, int, int], object] = {}
         # Inherit whatever derived state the session's still-current view
         # has already paid for; anything missing is built lazily.
         previous = session._view
@@ -112,6 +114,7 @@ class SessionView:
                 self._signatures = previous._signatures
                 self._matrix_cache = previous._matrix_cache
                 self._lsh_cache.update(previous._lsh_cache)
+                self._narrowed_lsh.update(previous._narrowed_lsh)
         # With TAGDM_STATE_SANITIZER armed, the published containers are
         # wrapped in raise-on-write proxies (no-op in production).
         seal_view(self)
@@ -159,43 +162,62 @@ class SessionView:
                 self._matrix_cache = PairwiseMatrixCache(self.groups, self.functions)
             return self._matrix_cache
 
-    def signature_lsh(self, n_bits: int = 10, n_tables: int = 1):
+    def signature_lsh(self, n_bits: int = 10, n_tables: int = 1, folded: Tuple = ()):
         """A cached cosine-LSH index over the frozen signature matrix.
 
         The SM-LSH family hashes the group signatures with seed
         ``self.seed``; keeping the built index (and its sign-bit
         matrices) on the view means repeated solves -- and warm-started
         processes restoring a snapshot -- skip the projection matmuls.
-        One index per table count is kept at the widest bit width
-        requested so far; narrower widths derive from it by prefix
-        truncation (:meth:`~repro.index.lsh.CosineLshIndex.rebuild_with_bits`),
-        which costs no re-projection.
+        One index per (folded dimensions, table count) is kept at the
+        widest bit width requested so far; narrower widths (SM-LSH's
+        relaxation steps) derive from it by prefix truncation
+        (:meth:`~repro.index.lsh.CosineLshIndex.rebuild_with_bits`),
+        which costs no re-projection, and are kept too.  ``folded`` names
+        the user/item dimensions whose one-hot descriptions SM-LSH-Fo
+        prepends to the signatures
+        (:func:`~repro.algorithms.sm_lsh.folded_vectors`).
         """
         signatures = self.signatures
+        key = (tuple(folded), n_tables)
         with self._build_lock:
-            cached = self._lsh_cache.get(n_tables)
+            cached = self._lsh_cache.get(key)
             if cached is None or cached.n_bits < n_bits:
+                from repro.algorithms.sm_lsh import folded_vectors  # lazy: avoids a cycle
                 from repro.index.lsh import CosineLshIndex  # lazy import
 
+                if cached is not None:
+                    vectors = cached.vectors
+                else:
+                    vectors = freeze_array(folded_vectors(self.groups, key[0], signatures))
                 cached = CosineLshIndex(
-                    n_dimensions=signatures.shape[1],
+                    n_dimensions=vectors.shape[1],
                     n_bits=n_bits,
                     n_tables=n_tables,
                     seed=self.seed,
-                ).build(signatures)
-                self._lsh_cache[n_tables] = cached
-        if cached.n_bits == n_bits:
-            return cached
-        return cached.rebuild_with_bits(n_bits)
+                ).build(vectors)
+                self._lsh_cache[key] = cached
+            if cached.n_bits == n_bits:
+                return cached
+            narrowed = self._narrowed_lsh.get(key + (n_bits,))
+            if narrowed is None:
+                narrowed = cached.rebuild_with_bits(n_bits)
+                self._narrowed_lsh[key + (n_bits,)] = narrowed
+            return narrowed
 
     def lsh_indexes(self) -> Dict[int, object]:
-        """A copy of the cached LSH indexes, keyed by table count.
+        """A copy of the cached unfolded LSH indexes, keyed by table count.
 
         Session snapshots persist their sign-bit matrices
-        (:func:`repro.core.persistence.save_session`).
+        (:func:`repro.core.persistence.save_session`); the folded indexes
+        of SM-LSH-Fo are rebuilt on demand instead.
         """
         with self._build_lock:
-            return dict(self._lsh_cache)
+            return {
+                n_tables: index
+                for (folded, n_tables), index in self._lsh_cache.items()
+                if not folded
+            }
 
     def restore(self, signatures, lsh_indexes: Mapping[int, object]) -> None:
         """Adopt the signature matrix and LSH indexes a snapshot carried.
@@ -206,17 +228,21 @@ class SessionView:
         """
         with self._build_lock:
             self._signatures = freeze_array(signatures)
-            self._lsh_cache.update(lsh_indexes)
+            self._lsh_cache.update(
+                {((), n_tables): index for n_tables, index in lsh_indexes.items()}
+            )
 
-    def _signature_lsh_provider(self, n_bits: int, n_tables: int, seed: int):
-        """Serve a cached LSH index to solvers hashing the raw signatures.
+    def _signature_lsh_provider(
+        self, n_bits: int, n_tables: int, seed: int, folded: Tuple = ()
+    ):
+        """Serve a cached LSH index to the SM-LSH family.
 
         Returns ``None`` when the solver's seed differs from the view's
         (the hyperplane draws would not match).
         """
         if seed != self.seed:
             return None
-        return self.signature_lsh(n_bits=n_bits, n_tables=n_tables)
+        return self.signature_lsh(n_bits=n_bits, n_tables=n_tables, folded=folded)
 
     def solve(
         self,

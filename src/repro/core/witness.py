@@ -65,6 +65,7 @@ LOCK_HIERARCHY: Tuple[str, ...] = (
     "subs.state",  # SubscriptionEvaluator._lock: pending view + counters
     "store.lock",  # SqliteTaggingStore._lock: connection serialisation
     "view.build",  # SessionView._build_lock: lazy derived-state builds
+    "cache.build",  # PairwiseMatrixCache._build_lock: membership words
     "placement.table",  # PlacementTable._lock: corpus -> worker map
     "router.breakers",  # TagDMRouter._breakers_lock: breaker registry
     "router.pools",  # TagDMRouter._pools_lock: per-worker pools

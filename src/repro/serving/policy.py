@@ -25,7 +25,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 __all__ = ["MergePolicy", "SnapshotRotationPolicy", "SnapshotRotator"]
 
@@ -127,6 +127,11 @@ class SnapshotRotationPolicy:
         return False
 
 
+def _lsh_widths(view) -> Dict[int, int]:
+    """``n_tables -> n_bits`` of the LSH indexes a snapshot of ``view`` carries."""
+    return {n_tables: index.n_bits for n_tables, index in view.lsh_indexes().items()}
+
+
 class SnapshotRotator:
     """Sequence-numbered, pruned snapshot files for one shard.
 
@@ -178,6 +183,9 @@ class SnapshotRotator:
         self.last_rotation_at: Optional[float] = None
         self._inserts_since = 0
         self._last_rotation_monotonic = time.monotonic()
+        #: ``n_tables -> n_bits`` of the LSH indexes in the newest snapshot
+        #: this rotator wrote or its session was restored from.
+        self._snapshot_lsh: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Snapshot inventory
@@ -240,6 +248,23 @@ class SnapshotRotator:
             self._inserts_since, time.monotonic() - self._last_rotation_monotonic
         )
 
+    def note_restored(self, view) -> None:
+        """Record the LSH indexes of a view warm-loaded from the newest snapshot."""
+        self._snapshot_lsh = _lsh_widths(view)
+
+    def covers(self, view) -> bool:
+        """Whether the newest snapshot already holds what ``view`` would add.
+
+        True when no insert was applied since it was written and it
+        carries every LSH index ``view`` has built, at least as wide.
+        """
+        if self._inserts_since > 0:
+            return False
+        return all(
+            self._snapshot_lsh.get(n_tables, 0) >= n_bits
+            for n_tables, n_bits in _lsh_widths(view).items()
+        )
+
     # ------------------------------------------------------------------
     # Rotation
     # ------------------------------------------------------------------
@@ -254,7 +279,11 @@ class SnapshotRotator:
 
         if self.fault_plan is not None:
             self.fault_plan.fire("snapshot.write", basename=self.basename)
+        # Read before the save: an index a concurrent solve adds meanwhile
+        # may be missed here, which only costs one more snapshot later.
+        lsh = _lsh_widths(session.current_view())
         path = save_session(session, self._next_path())
+        self._snapshot_lsh = lsh
         self.rotations += 1
         self.last_rotation_at = time.time()
         self._inserts_since = 0

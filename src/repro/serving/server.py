@@ -276,6 +276,9 @@ class TagDMServer:
         for snapshot in reversed(rotator.snapshot_paths()):
             restored = self._restore_snapshot(snapshot, dataset, store)
             if restored is not None:
+                session, start_mode, _replayed = restored
+                if start_mode == "warm":
+                    rotator.note_restored(session.session.current_view())
                 return restored
         session = IncrementalTagDM(
             dataset,

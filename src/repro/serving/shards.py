@@ -678,7 +678,7 @@ class CorpusShard:
             return
         if not force and not rotator.due():
             return
-        if force and rotator.inserts_since_rotation <= 0:
+        if force and rotator.covers(self.current_view()):
             return  # the latest snapshot already covers the session
         try:
             with self._lock.read_locked():

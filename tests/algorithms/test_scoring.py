@@ -127,17 +127,15 @@ class TestPairwiseMatrixCache:
         cache = PairwiseMatrixCache(evaluated_groups, suite)
         # Groups 0/1 partition the dataset by genre; groups 2/3 by gender:
         # the candidate set is NOT disjoint overall.
-        assert not cache.groups_are_disjoint
         assert cache.subset_support([0, 1]) == 4
         assert cache.subset_support([0, 2]) == len(
             set(evaluated_groups[0].tuple_indices)
             | set(evaluated_groups[2].tuple_indices)
         )
 
-    def test_subset_support_disjoint_fast_path(self, evaluated_groups, suite):
+    def test_subset_support_of_disjoint_groups_adds_up(self, evaluated_groups, suite):
         disjoint = evaluated_groups[:2]
         cache = PairwiseMatrixCache(disjoint, suite)
-        assert cache.groups_are_disjoint
         assert cache.subset_support([0, 1]) == sum(g.support for g in disjoint)
 
     def test_objective_and_constraint_matrices(self, evaluated_groups, suite):

@@ -297,6 +297,24 @@ class TestWarmRestart:
         resumed.close()
         assert builds == []
         assert comparable_payload(after.to_dict()) == comparable_payload(before.to_dict())
+        # Nothing new since the snapshot it loaded: that close writes none.
+        assert sorted((tmp_path / "movies" / "snapshots").iterdir())[-1] == newest
+
+        # A close with no insert since the last snapshot still persists an
+        # index a solve built after it.
+        again = make_server(tmp_path)
+        again.open_corpus("movies")
+        two_tables = again.solve("movies", problem, algorithm="sm-lsh-fi", n_tables=2)
+        again.close()
+        assert builds == [10]
+        newest = sorted((tmp_path / "movies" / "snapshots").iterdir())[-1]
+        assert sorted(entry["n_tables"] for entry in read_snapshot(newest)["lsh"]) == [1, 2]
+        last = make_server(tmp_path)
+        last.open_corpus("movies")
+        replayed = last.solve("movies", problem, algorithm="sm-lsh-fi", n_tables=2)
+        last.close()
+        assert builds == [10]
+        assert comparable_payload(replayed.to_dict()) == comparable_payload(two_tables.to_dict())
 
     def test_open_corpus_falls_back_to_cold_on_unusable_snapshots(self, tmp_path):
         dataset = make_dataset()

@@ -44,6 +44,7 @@ LOCK_ORDER: Tuple[str, ...] = (
     "subs.state",
     "store.lock",
     "view.build",
+    "cache.build",
     "placement.table",
     "router.breakers",
     "router.pools",
@@ -128,6 +129,11 @@ LOCK_DECLS: Tuple[LockDecl, ...] = (
         "view.build", "src/repro/core/incremental.py", "SessionView",
         "_build_lock", "lock", False,
         "lazy one-time builds of a frozen view's derived state",
+    ),
+    LockDecl(
+        "cache.build", "src/repro/algorithms/scoring.py", "PairwiseMatrixCache",
+        "_build_lock", "lock", False,
+        "one-time build of a pairwise cache's group-membership words",
     ),
     LockDecl(
         "placement.table", "src/repro/serving/router.py", "PlacementTable",
